@@ -17,9 +17,9 @@ GATE_OVERRIDES ?= BenchmarkHistoryTopN=15,BenchmarkConcurrentExec=50,BenchmarkE8
 STATICCHECK_VERSION ?= v0.6.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: verify fmt vet build test race lint stethovet docscheck bench bench-smoke bench-record examples
+.PHONY: verify fmt vet build test race bench-module lint stethovet docscheck bench bench-smoke bench-record examples
 
-verify: fmt vet build test race bench-smoke
+verify: fmt vet build test race bench-module bench-smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -33,6 +33,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# bench-module vets and tests the benchmark module. stethobench/ has its
+# own go.mod, so `go test ./...` at the root never compiles it, yet it
+# imports the internal packages; this target catches an API change that
+# breaks the benchmark. Mirrors the "benchmark module" CI step.
+bench-module:
+	cd stethobench && $(GO) vet ./... && $(GO) test ./...
 
 # race mirrors the CI race job: the whole tree under the race detector,
 # including the 32-goroutine mixed-workload stress test.

@@ -45,9 +45,11 @@
 //
 // Auto defers the choice to the adaptive tuner at execution time; the
 // resolved values and the reason land in Result.Stats (Partitions,
-// Workers, MorselRows, TuneReason). Out-of-range numeric values clamp
-// to 1 through the shared rule in internal/adaptive; Open-time options
-// reject invalid values outright.
+// Workers, MorselRows, TuneReason). Auto is its own value (math.MinInt),
+// not -1: every other number below 1 is out of range. Per-call
+// ExecOptions and the server's SET command clamp such values to 1
+// through the one rule in internal/adaptive (Normalize); Open-time
+// options reject them outright, so WithPartitions(-1) is an error.
 //
 // Concurrent identical statements share work instead of repeating it:
 // non-streaming executions with the same SQL and settings single-flight

@@ -11,13 +11,17 @@ package adaptive
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 )
 
 // Auto is the sentinel partition/worker count that requests adaptive
 // selection: the fan-out is chosen per query from the catalog row
-// counts and the machine's core count instead of being fixed.
-const Auto = -1
+// counts and the machine's core count instead of being fixed. Its value
+// is math.MinInt so that no plausible typo (0, -1, a negative count)
+// selects adaptive mode by accident: every other value below 1 clamps
+// to 1 under Normalize.
+const Auto = math.MinInt
 
 // MinRowsPerPartition is the smallest slice worth a partition: below
 // this, the per-fragment instruction overhead (slice, select, pack)
@@ -55,36 +59,25 @@ func MorselRowsFor(rows, procs int) (int, string) {
 	return m, fmt.Sprintf("auto: shape=morsel rows=%d procs=%d -> morsel=%d", rows, procs, m)
 }
 
-// Normalize clamps a partition or worker setting into its valid
-// domain: Auto is preserved, anything below 1 becomes 1. Every
-// execution entry point (Exec, Explain, Debug, server QUERY) must pass
-// its settings through here before plan-cache keys are built or
-// metadata is recorded — ExecPartitions(0) used to compile the same
-// plan as partitions=1 under a distinct cache key and to write the
-// bogus 0 into the history RunMeta.
+// Normalize clamps a partition, worker or morsel setting into its
+// valid domain: Auto is preserved, anything else below 1 becomes 1.
+// It is the one normalization rule: every execution entry point (Exec,
+// Explain, Debug, Stream, server SET) passes its settings through here
+// before plan-cache keys are built or metadata is recorded —
+// ExecPartitions(0) used to compile the same plan as partitions=1
+// under a distinct cache key and to write the bogus 0 into the history
+// RunMeta.
 func Normalize(n int) int {
-	if n == Auto {
-		return Auto
+	if n == Auto || n >= 1 {
+		return n
 	}
-	return Clamp(n)
-}
-
-// Clamp is the explicit-value half of the normalization rule: anything
-// below 1 becomes 1, with no Auto sentinel pass-through. Entry points
-// whose inputs spell adaptive mode out of band (the server's textual
-// "auto" keyword) use this so a numeric -1 cannot silently enable
-// adaptive sizing.
-func Clamp(n int) int {
-	if n < 1 {
-		return 1
-	}
-	return n
+	return 1
 }
 
 // ResolveWorkers turns an Auto worker request into a concrete count
 // for a plan compiled with the given partition fan-out; explicit
-// counts pass through with an empty reason. Shared by the facade Exec
-// path and the server QUERY path so both record identical resolutions.
+// counts pass through with an empty reason. Every front end reaches it
+// through runner.Prepare, so all record identical resolutions.
 func ResolveWorkers(requested, partitions int) (int, string) {
 	if requested != Auto {
 		return requested, ""

@@ -60,7 +60,7 @@ func TestKernelCoverageRealTree(t *testing.T) {
 	if err := runKernelCoverage(pass); err != nil {
 		t.Fatalf("raw kernelcoverage run: %v", err)
 	}
-	wantDead := map[string]bool{"language.pass": false, "bat.mirror": false}
+	wantDead := map[string]bool{"language.pass": false}
 	for _, d := range raw {
 		matched := false
 		for name := range wantDead {

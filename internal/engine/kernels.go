@@ -28,8 +28,6 @@ func registerKernels(e *Engine) {
 	e.Register("mat", "pack", kMatPack)
 	e.Register("mat", "kmerge", kKMerge)
 	e.Register("mat", "morsel", kMorsel)
-	//stetho:ignore kernelcoverage bat.mirror serves hand-written MAL plans and tests; the SQL compiler has no use for it yet
-	e.Register("bat", "mirror", kMirror)
 
 	e.Register("algebra", "thetaselect", kThetaSelect)
 	e.Register("algebra", "select", kRangeSelect)
@@ -192,15 +190,6 @@ func kMatPack(ctx *Context, in *mal.Instr) error {
 		}
 	}
 	ctx.setBAT(in, 0, out)
-	return nil
-}
-
-func kMirror(ctx *Context, in *mal.Instr) error {
-	b, err := ctx.bat(in, 0)
-	if err != nil {
-		return err
-	}
-	ctx.setBAT(in, 0, storage.MirrorOIDs(b.Len()))
 	return nil
 }
 

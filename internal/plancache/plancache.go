@@ -93,9 +93,9 @@ func (a *Aux) Dot(render func() string) string {
 }
 
 // DotText renders a plan's dot-file text, memoized in aux when one
-// exists — the shared helper of the facade Exec path and the server
-// QUERY path, so a cached plan's dot export is rendered once no matter
-// how many sessions trace or record it.
+// exists — shared by the history record (runner.Run) and the server's
+// TRACE stream, so a cached plan's dot export is rendered once no
+// matter how many sessions trace or record it.
 func DotText(plan *mal.Plan, aux *Aux) string {
 	render := func() string { return dot.Export(plan).Marshal() }
 	if aux == nil {

@@ -107,9 +107,8 @@ type Compiled struct {
 // Auto resolves against the compiled partition fan-out, explicit counts
 // pass through. It returns the concrete worker count, whether any
 // setting was adaptively chosen, and the combined tuning note — the one
-// resolution both Result.Stats and the history RunMeta record, shared
-// by the facade Exec path and the server QUERY path so the two can
-// never diverge.
+// resolution both Result.Stats and the history RunMeta record,
+// applied once per statement by runner.Prepare for every front end.
 func (c Compiled) ResolveExec(requestedWorkers int) (workers int, autoTuned bool, reason string) {
 	workers, wreason := adaptive.ResolveWorkers(requestedWorkers, c.Partitions)
 	autoTuned = c.TuneReason != "" || requestedWorkers == adaptive.Auto
@@ -120,8 +119,8 @@ func (c Compiled) ResolveExec(requestedWorkers int) (workers int, autoTuned bool
 // MorselRows option: 0 means morsel mode off (the plan was compiled
 // without fragments and the option is ignored anyway), Auto sizes the
 // morsel from the compiled plan's driver rows, and explicit sizes pass
-// through clamped. Shared by the facade Exec/Stream paths and the
-// server QUERY path so the recorded resolutions can never diverge.
+// through normalized. Applied once per statement by runner.Prepare for
+// every front end.
 func (c Compiled) ResolveMorsel(requested int) (morselRows int, autoTuned bool, reason string) {
 	switch {
 	case requested == 0:
@@ -130,7 +129,7 @@ func (c Compiled) ResolveMorsel(requested int) (morselRows int, autoTuned bool, 
 		m, r := adaptive.MorselRowsFor(c.Rows, adaptive.Procs())
 		return m, true, r
 	default:
-		return adaptive.Clamp(requested), false, ""
+		return adaptive.Normalize(requested), false, ""
 	}
 }
 
@@ -151,8 +150,8 @@ func ResolvePartitions(cat *storage.Catalog, requested int, tree algebra.Node) (
 }
 
 // Compile lowers SQL to an optimized MAL plan, consulting the cache
-// first. partitions must be normalized by the caller (adaptive.
-// Normalize / adaptive.Clamp); the Auto sentinel keys the cache
+// first. partitions must be normalized by the caller
+// (adaptive.Normalize); the Auto sentinel keys the cache
 // directly and is resolved here — after bind — with the resolution
 // memoized in the entry. Cached plans are shared between concurrent
 // executions and must be treated as immutable; Aux memoizes derived

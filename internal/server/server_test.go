@@ -10,24 +10,49 @@ import (
 	"time"
 
 	"stethoscope/internal/core"
+	"stethoscope/internal/engine"
+	"stethoscope/internal/metrics"
+	"stethoscope/internal/optimizer"
+	"stethoscope/internal/plancache"
+	"stethoscope/internal/planner"
 	"stethoscope/internal/profiler"
+	"stethoscope/internal/runner"
+	"stethoscope/internal/sharedwork"
 	"stethoscope/internal/storage"
 	"stethoscope/internal/tpch"
 	"stethoscope/internal/tracestore"
 )
 
-func startServer(t testing.TB) *Server {
+// newRunner builds a runner over a fresh SF 0.001 catalog with the
+// default optimizer pipeline, a default-size plan cache, a private
+// single-flight and no result cache; hist may be nil.
+func newRunner(t testing.TB, hist *tracestore.Store) *runner.Runner {
 	t.Helper()
 	cat := storage.NewCatalog()
 	if err := tpch.Load(cat, tpch.Config{SF: 0.001, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
-	srv := New("test-server", cat)
+	pl := optimizer.Default()
+	pln := planner.Planner{Cat: cat, Cache: plancache.New(plancache.DefaultSize), Pipeline: pl,
+		PassSpec: pl.Spec(), Flight: planner.NewCompileFlight()}
+	return runner.New(engine.New(cat), pln, &sharedwork.Shared{Flight: sharedwork.NewFlight()},
+		hist, metrics.NewRegistry())
+}
+
+// listen starts a server over run and closes it with the test.
+func listen(t testing.TB, name string, run *runner.Runner) *Server {
+	t.Helper()
+	srv := NewWithRunner(context.Background(), name, run)
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
 	return srv
+}
+
+func startServer(t testing.TB) *Server {
+	t.Helper()
+	return listen(t, "test-server", newRunner(t, nil))
 }
 
 func dialServer(t testing.TB, srv *Server) *Client {
@@ -251,11 +276,7 @@ func TestAlgebraCommand(t *testing.T) {
 // Close must not wait on connection handlers parked in the read loop for
 // clients that never hang up.
 func TestCloseUnblocksIdleConnections(t *testing.T) {
-	cat := storage.NewCatalog()
-	if err := tpch.Load(cat, tpch.Config{SF: 0.001, Seed: 5}); err != nil {
-		t.Fatal(err)
-	}
-	srv := New("test-server", cat)
+	srv := NewWithRunner(context.Background(), "test-server", newRunner(t, nil))
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -373,36 +394,21 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
-// startHistoryServer is startServer with a trace store attached and an
-// OnQuery observer feeding the counter at *counted.
-func startHistoryServer(t testing.TB, counted *int) *Server {
+// startHistoryServer is startServer with a trace store attached.
+func startHistoryServer(t testing.TB) *Server {
 	t.Helper()
-	cat := storage.NewCatalog()
-	if err := tpch.Load(cat, tpch.Config{SF: 0.001, Seed: 5}); err != nil {
-		t.Fatal(err)
-	}
 	store, err := tracestore.Open(tracestore.Options{Dir: t.TempDir(), Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	cfg := Config{History: store}
-	if counted != nil {
-		cfg.OnQuery = func(events int) { *counted += events }
-	}
-	srv := NewWithConfig(context.Background(), "history-server", cat, cfg)
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv
+	return listen(t, "history-server", newRunner(t, store))
 }
 
 // TestHistoryCommand drives the HISTORY protocol: QUERY executions are
 // recorded durably and served back over LIST/TOP/INFO/TRACE/DOT/DIFF.
 func TestHistoryCommand(t *testing.T) {
-	counted := 0
-	srv := startHistoryServer(t, &counted)
+	srv := startHistoryServer(t)
 	c := dialServer(t, srv)
 	q := "QUERY select l_tax from lineitem where l_partkey=1"
 	for i := 0; i < 2; i++ {
@@ -434,7 +440,7 @@ func TestHistoryCommand(t *testing.T) {
 	if err != nil {
 		t.Fatalf("HISTORY TRACE: %v", err)
 	}
-	evs, err := srv.history.Events(1)
+	evs, err := srv.run.History.Events(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,17 +450,17 @@ func TestHistoryCommand(t *testing.T) {
 	if _, err := profiler.UnmarshalEvent(traceLines[0]); err != nil {
 		t.Fatalf("HISTORY TRACE line does not parse: %v", err)
 	}
-	// The observer counted exactly the stored events, once each.
+	// The serving counters counted exactly the stored events, once each.
 	want := 0
 	for _, id := range []uint64{1, 2} {
-		info, ok := srv.history.Run(id)
+		info, ok := srv.run.History.Run(id)
 		if !ok {
 			t.Fatalf("run %d missing from store", id)
 		}
 		want += info.Events
 	}
-	if counted != want {
-		t.Fatalf("OnQuery counted %d events, store holds %d", counted, want)
+	if counted := srv.run.Events.Load(); counted != int64(want) {
+		t.Fatalf("runner counted %d events, store holds %d", counted, want)
 	}
 	_, dotLines, err := c.Command("HISTORY DOT 2")
 	if err != nil || len(dotLines) == 0 || !strings.Contains(dotLines[0], "digraph") {

@@ -1,7 +1,7 @@
 // Package sharedwork is the serving layer's work-deduplication
 // substrate: where internal/plancache shares *compilation* across
 // sessions, this package shares *execution*. Two mechanisms, composed
-// by the facade and the server QUERY path:
+// by internal/runner (runner.Do) for every front end:
 //
 //   - Flight: an in-flight execution registry with single-flight
 //     semantics. Concurrent executions whose normalized key (SQL text +

@@ -133,12 +133,6 @@ func (r *Result) RowCount() int {
 	return r.res.Rows()
 }
 
-// Rows returns the result row count.
-//
-// Deprecated: use RowCount. Rows reads ambiguously next to the
-// streaming API's row iterator; it remains as an alias.
-func (r *Result) Rows() int { return r.RowCount() }
-
 // Columns returns the result column names.
 func (r *Result) Columns() []string {
 	if r.res == nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"iter"
 
-	"stethoscope/internal/engine"
 	"stethoscope/internal/mal"
 	"stethoscope/internal/sql"
 	"stethoscope/internal/storage"
@@ -32,48 +31,34 @@ import (
 //
 // The returned iterator is not safe for concurrent use.
 func (db *DB) Stream(ctx context.Context, query string, opts ...ExecOption) (*RowIter, error) {
-	ec := db.execConfig(opts)
-	if !ec.morselOn {
-		ec.morsel, ec.morselOn = Auto, true
+	s := db.settings(opts)
+	if s.Morsel == 0 {
+		s.Morsel = Auto
 	}
-	comp, err := db.compile(query, ec.partitions, true)
+	p, err := db.prepare(query, s)
 	if err != nil {
 		return nil, err
 	}
-	plan := comp.Plan
-	workers, _, _ := comp.ResolveExec(ec.workers)
-	morselRows, _, _ := comp.ResolveMorsel(ec.morsel)
 	sctx, cancel := context.WithCancel(ctx)
 	it := &RowIter{
-		names:  resultColumnNames(plan),
+		names:  resultColumnNames(p.Comp.Plan),
 		ch:     make(chan []*storage.BAT),
 		errc:   make(chan error, 1),
 		cancel: cancel,
 		idx:    -1,
 	}
-	db.inflight.Add(1)
 	go func() {
-		defer db.inflight.Add(-1)
-		_, err := db.eng.RunContext(sctx, plan, engine.Options{
-			Workers:    workers,
-			MorselRows: morselRows,
-			Label:      query,
-			Emit: func(names []string, cols []*storage.BAT) error {
-				// An unbuffered send per batch: the engine's producers
-				// wait for the consumer, which is the backpressure that
-				// keeps in-flight batches bounded.
-				select {
-				case it.ch <- cols:
-					return nil
-				case <-sctx.Done():
-					return sctx.Err()
-				}
-			},
+		it.errc <- db.run.Stream(sctx, p, func(names []string, cols []*storage.BAT) error {
+			// An unbuffered send per batch: the engine's producers wait
+			// for the consumer, which is the backpressure that keeps
+			// in-flight batches bounded.
+			select {
+			case it.ch <- cols:
+				return nil
+			case <-sctx.Done():
+				return sctx.Err()
+			}
 		})
-		if err == nil {
-			db.execs.Add(1)
-		}
-		it.errc <- err
 		close(it.ch)
 	}()
 	return it, nil
